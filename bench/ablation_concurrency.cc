@@ -4,8 +4,8 @@
 // measures wall-clock throughput: N writer threads issue a mixed put/get/
 // scan stream against one DB, inline vs background execution. The
 // interesting columns are the throughput scaling as writers are added and
-// the backpressure counters (switches, stalls, queue depth) that only the
-// background mode produces.
+// the backpressure counters (switches, stalls). Inline, a writer stops
+// only while another thread runs the flush and compactions it scheduled.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>

@@ -4,10 +4,10 @@
 // the shared atomic counter, so nothing here touches engine state.
 //
 // The key space is split at the plan's boundaries into key-range
-// subcompactions. With a thread pool attached (kBackground mode) the
-// coordinator fans the ranges out over the pool and joins them; without one
-// (kInline, or max_subcompactions == 1) the ranges run serially on the
-// calling thread, preserving the seed's deterministic behavior.
+// subcompactions. With a thread pool attached (the kBackground executor)
+// the coordinator fans the ranges out over the pool and joins them; without
+// one (the caller-run executor) the ranges run serially on the calling
+// thread, in key order, so the merge stays deterministic.
 #ifndef TALUS_COMPACTION_COMPACTION_EXECUTOR_H_
 #define TALUS_COMPACTION_COMPACTION_EXECUTOR_H_
 

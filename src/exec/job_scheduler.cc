@@ -73,8 +73,9 @@ struct JobScheduler::Core {
     return kInvalidJobId;
   }
 
-  /// Pool-task entry: runs the highest-priority queued job, if any.
-  void RunNext() {
+  /// Runs the highest-priority queued job, if any (the pool-task entry and
+  /// the caller-run loop). Returns false when the queues were empty.
+  bool RunNext(Status* status = nullptr) {
     QueuedJob job;
     {
       std::lock_guard<std::mutex> l(mu);
@@ -90,7 +91,7 @@ struct JobScheduler::Core {
           break;
         }
       }
-      if (!found) return;  // Job was dropped; nothing to do.
+      if (!found) return false;  // Job was dropped; nothing to do.
       stats.queue_depth[static_cast<size_t>(job.type)]--;
       states[job.id] = JobState::kRunning;
       stats.running++;
@@ -120,6 +121,8 @@ struct JobScheduler::Core {
       stats.running--;
     }
     idle_cv.notify_all();
+    if (status != nullptr) *status = s;
+    return true;
   }
 
   void WaitIdle() {
@@ -143,6 +146,7 @@ JobScheduler::JobId JobScheduler::Schedule(JobType type,
                                            std::function<Status()> job) {
   const JobId id = core_->Enqueue(type, std::move(job));
   if (id == kInvalidJobId) return kInvalidJobId;
+  if (pool_ == nullptr) return id;  // Runs at the next RunPending().
   if (!pool_->Submit([core = core_] { core->RunNext(); })) {
     return core_->HandleRefusedDispatch(id);
   }
@@ -155,14 +159,29 @@ JobState JobScheduler::GetState(JobId id) const {
   return it == core_->states.end() ? JobState::kDropped : it->second;
 }
 
-void JobScheduler::WaitIdle() { core_->WaitIdle(); }
+Status JobScheduler::RunPending(size_t* ran) {
+  size_t count = 0;
+  Status first;
+  Status s;
+  while (pool_ == nullptr && core_->RunNext(&s)) {
+    count++;
+    if (first.ok()) first = s;
+  }
+  if (ran != nullptr) *ran = count;
+  return first;
+}
+
+void JobScheduler::WaitIdle() {
+  RunPending();
+  core_->WaitIdle();
+}
 
 void JobScheduler::Shutdown() {
   {
     std::lock_guard<std::mutex> l(core_->mu);
     core_->stopping = true;
   }
-  core_->WaitIdle();
+  WaitIdle();
 }
 
 Status JobScheduler::first_error() const {

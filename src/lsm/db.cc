@@ -181,12 +181,6 @@ class DbIterator final : public Iterator {
 }  // namespace
 
 DB::DB(const DbOptions& options) : options_(options) {
-  // Legacy alias: wal_sync_writes predates wal_sync_mode and promised one
-  // fsync per write. Group commit keeps the guarantee (every acked batch is
-  // synced before its status is published) while amortizing the cost.
-  if (options_.wal_sync_writes && options_.wal_sync_mode == WalSyncMode::kNone) {
-    options_.wal_sync_mode = WalSyncMode::kPerGroup;
-  }
   write_queue_ = std::make_unique<write::WriteQueue>();
   block_cache_ = std::make_unique<LruCache>(options_.block_cache_bytes);
   table_cache_ = std::make_unique<read::TableCache>(
@@ -321,27 +315,31 @@ Status DB::Open(const DbOptions& options, std::unique_ptr<DB>* dbptr) {
 
   db->mem_ = std::make_shared<MemTable>();
 
-  // Sweep orphaned SSTs: files on disk but absent from the manifest's
-  // version (left by a crash between a manifest install and deferred GC, or
-  // by a shutdown with pinned iterators). Nothing else runs yet, so every
-  // unreferenced .sst is garbage.
+  // Sweep orphaned files: SSTs absent from the manifest's version (left by
+  // a crash between a manifest install and deferred GC, or by a shutdown
+  // with pinned iterators) and WALs older than the oldest one it names
+  // (left by a crash between a manifest install and the WAL's removal).
+  // Nothing else runs yet, so all of them are garbage.
   {
     std::vector<std::string> children;
     if (env->GetChildren(options.path, &children).ok()) {
       for (const auto& name : children) {
         uint64_t number = 0;
         std::string suffix;
-        if (ParseFileName(name, &number, &suffix) && suffix == "sst" &&
-            !db->current_->ReferencesFile(number)) {
+        if (!ParseFileName(name, &number, &suffix)) continue;
+        if (suffix == "sst" && !db->current_->ReferencesFile(number)) {
           env->RemoveFile(SstFileName(options.path, number));
+        } else if (suffix == "wal" && number < old_wal) {
+          env->RemoveFile(WalFileName(options.path, number));
         }
       }
     }
   }
 
-  // Recovery and the initial flush run inline (and under the mutex) even in
-  // background mode: the exec subsystem starts only once the DB is
+  // Recovery runs its maintenance on this thread through a caller-run
+  // scheduler; the executor chosen below starts only once the DB is
   // consistent.
+  db->scheduler_ = std::make_unique<exec::JobScheduler>(nullptr);
   std::unique_lock<std::mutex> lock(db->mutex_);
   std::vector<uint64_t> replayed;
   if (old_wal != 0) {
@@ -350,12 +348,14 @@ Status DB::Open(const DbOptions& options, std::unique_ptr<DB>* dbptr) {
   }
 
   if (db->mem_->num_entries() > 0) {
-    // Recovered entries are only in memory and the old WALs; flush them so
-    // the old WALs can be retired safely. DoFlushLocked performs the safe
-    // new-WAL → manifest → delete-old-WAL sequence for the newest WAL; any
-    // older replayed WALs are deleted once the manifest stopped naming them.
+    // Recovered entries are only in memory and the old WALs. Switch them
+    // out under the newest replayed WAL and flush them like any full
+    // memtable: the flush's round retires that WAL, and the older replayed
+    // WALs go once the round's manifest stopped naming them.
     db->wal_number_ = replayed.back();
-    Status fs = db->DoFlushLocked(lock);
+    Status fs = db->SwitchMemTableLocked();
+    lock.unlock();
+    if (fs.ok()) fs = db->RunQueuedMaintenance();
     if (!fs.ok()) return fs;
     for (size_t i = 0; i + 1 < replayed.size(); i++) {
       env->RemoveFile(WalFileName(options.path, replayed[i]));
@@ -365,13 +365,16 @@ Status DB::Open(const DbOptions& options, std::unique_ptr<DB>* dbptr) {
     if (!ws.ok()) return ws;
     ws = db->InstallManifestLocked();
     if (!ws.ok()) return ws;
+    lock.unlock();
     for (uint64_t w : replayed) {
       env->RemoveFile(WalFileName(options.path, w));
     }
   }
-  lock.unlock();
 
-  if (db->is_background()) {
+  // The executor is chosen here, once. kInline keeps the caller-run
+  // scheduler; kBackground hands the same jobs to a thread pool and paces
+  // writers against the debt the pool has not retired yet.
+  if (options.execution_mode == ExecutionMode::kBackground) {
     if (options.shared_pool != nullptr) {
       db->pool_ = options.shared_pool;
     } else {
@@ -571,12 +574,7 @@ Status DB::CommitWriter(write::Writer* writer) {
   // ---- Leader: gate + claim (first short mutex section). ----
   write::WriteGroup group;
   std::unique_lock<std::mutex> lock(mutex_);
-  Status gate;
-  if (!wal_error_.ok()) {
-    gate = wal_error_;
-  } else if (is_background()) {
-    gate = bg_error_.ok() ? MaybeStallLocked(lock) : bg_error_;
-  }
+  const Status gate = wal_error_.ok() ? MaybeStallLocked(lock) : wal_error_;
   // Build the group only after the stall gate: writers that queued up while
   // the leader was stalled amortize into this one commit.
   write_queue_->BuildGroup(&w, options_.max_write_group_bytes, &group);
@@ -739,25 +737,52 @@ Status DB::CommitWriter(write::Writer* writer) {
   write_stats_.OnGroupCommitted(group.writers.size(), committed,
                                 group.queue_wait_micros, synced,
                                 parallel_applies);
-  Status flush_status;
-  if (mem_->payload_bytes() >= options_.write_buffer_size) {
-    // The flush (inline) or switch (background) is attributed to the
-    // leader: followers' data is already durable in the WAL and memtable.
-    flush_status =
-        is_background() ? SwitchMemTableLocked() : DoFlushLocked(lock);
-  }
+  // A full memtable is switched onto imm_ and its flush scheduled. The
+  // maintenance is attributed to the leader — followers' data is already
+  // durable in the WAL and memtable — which runs it (caller-run executor)
+  // only after leaving the group, so the next group can form meanwhile.
+  const bool full = mem_->payload_bytes() >= options_.write_buffer_size;
+  Status maintenance = full ? SwitchMemTableLocked() : Status::OK();
   bg_cv_.notify_all();
   lock.unlock();
   write_queue_->ExitGroup(&group);
-  if (w.status.ok() && !flush_status.ok()) w.status = flush_status;
+  if (full && maintenance.ok()) maintenance = RunQueuedMaintenance();
+  if (w.status.ok() && !maintenance.ok()) w.status = maintenance;
   return w.status;
 }
 
 Status DB::MaybeStallLocked(std::unique_lock<std::mutex>& lock) {
+  const uint16_t shard = static_cast<uint16_t>(options_.shard_index);
+  if (scheduler_->caller_run()) {
+    // Caller-run: the thread that scheduled a job runs it before its op
+    // returns, so pending work always has a thread paying for it. A writer
+    // that arrives meanwhile stops until that flush and the chain it
+    // triggered are done, so writers never get ahead of maintenance and no
+    // flush starves the chain. A single-threaded caller never waits here.
+    const auto idle = [this] {
+      return !bg_error_.ok() || (imm_.empty() && bg_jobs_pending_ == 0);
+    };
+    if (idle()) return bg_error_;
+    const bool memtable = !imm_.empty();
+    const uint64_t cause_code = memtable ? obs::kCauseMemtable : obs::kCauseL0;
+    stats_.stall_stops++;
+    if (memtable) {
+      stats_.stall_stops_memtable++;
+    } else {
+      stats_.stall_stops_l0++;
+    }
+    ring_->Emit(obs::EventType::kStallEnter, shard, cause_code, 1);
+    const uint64_t start = NowMicros();
+    bg_cv_.wait(lock, idle);
+    const uint64_t waited = NowMicros() - start;
+    stats_.stall_micros += waited;
+    stats_.stall_stop_micros += waited;
+    ring_->Emit(obs::EventType::kStallExit, shard, cause_code, waited);
+    return bg_error_;
+  }
   bool already_slowed = false;
   bool already_agg_stopped = false;
   shard::ShardBackpressure* agg = options_.shard_backpressure;
-  const uint16_t shard = static_cast<uint16_t>(options_.shard_index);
   while (true) {
     if (!bg_error_.ok()) return bg_error_;
     const size_t l0_runs =
@@ -910,20 +935,25 @@ Status DB::BackgroundFlushLocked(std::unique_lock<std::mutex>& lock) {
     // by the manifest) until the flush result is installed below.
     ImmPartition part = imm_.front();
     std::vector<FileMetaPtr> obsolete;
-    s = FlushMemToL0Locked(part.mem.get(), lock, /*allow_unlock=*/true,
-                           &obsolete);
+    s = FlushMemToL0Locked(part.mem.get(), lock, &obsolete);
     if (!s.ok()) break;
     imm_.pop_front();
     ReportBackpressureLocked();
     stats_.bg_flushes++;
     policy_->OnFlushCompleted(*current_);
-    s = InstallManifestLocked();
-    if (s.ok()) {
-      MarkObsoleteLocked(std::move(obsolete));
-      s = CollectObsoleteLocked();
-    }
-    if (s.ok() && part.wal_number != 0) {
-      options_.env->RemoveFile(WalFileName(options_.path, part.wal_number));
+    // The flush's WAL and the level-0 files it merged away. A caller-run
+    // executor runs the chain scheduled below next, before any writer
+    // passes the gate again, so they retire when that chain ends its
+    // round: the round keeps them until the tree is reshaped, the
+    // footprint the paper's space-amp figures were measured with. A pool
+    // may start the chain much later, behind other jobs, and a chain that
+    // is already running does not end on this flush's account, so there
+    // they retire at once.
+    leftovers_.pending = true;
+    if (part.wal_number != 0) leftovers_.wals.push_back(part.wal_number);
+    for (auto& f : obsolete) leftovers_.files.push_back(std::move(f));
+    if (!scheduler_->caller_run() || compaction_active_) {
+      s = RetireFlushLeftoversLocked();
     }
     bg_cv_.notify_all();
   }
@@ -939,7 +969,8 @@ Status DB::BackgroundCompaction() {
   Status s = Status::OK();
   if (!compaction_active_) {  // Otherwise the active chain picks the work up.
     compaction_active_ = true;
-    s = RunCompactionLoopLocked(lock, /*background=*/true);
+    s = RunCompactionLoopLocked(lock);
+    if (s.ok()) s = RetireFlushLeftoversLocked();
     if (!s.ok()) bg_error_ = s;
     compaction_active_ = false;
   }
@@ -983,60 +1014,57 @@ void DB::ReleaseSnapshot(const Snapshot* snapshot) {
 }
 
 Status DB::FlushMemTable() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  // A commit group may be inserting into mem_ with the mutex released;
-  // switching or flushing mid-commit would flush a half-applied group.
-  bg_cv_.wait(lock, [this] { return !commit_in_flight_; });
-  if (!is_background()) {
-    if (mem_->num_entries() == 0) return Status::OK();
-    return DoFlushLocked(lock);
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    // A commit group may be inserting into mem_ with the mutex released;
+    // switching mid-commit would flush a half-applied group.
+    bg_cv_.wait(lock, [this] { return !commit_in_flight_; });
+    if (!bg_error_.ok()) return bg_error_;
+    if (mem_->num_entries() > 0) {
+      Status s = SwitchMemTableLocked();
+      if (!s.ok()) return s;
+    }
   }
-  if (!bg_error_.ok()) return bg_error_;
-  if (mem_->num_entries() > 0) {
-    Status s = SwitchMemTableLocked();
-    if (!s.ok()) return s;
-  }
-  lock.unlock();
+  RunQueuedMaintenance();
   scheduler_->WaitIdle();
-  lock.lock();
+  std::lock_guard<std::mutex> lock(mutex_);
   return bg_error_;
 }
 
-Status DB::DoFlushLocked(std::unique_lock<std::mutex>& lock) {
-  const double stall_start = options_.env->io_stats()->clock();
+Status DB::RunQueuedMaintenance() {
+  const double start = options_.env->io_stats()->clock();
+  size_t ran = 0;
+  Status s = scheduler_->RunPending(&ran);
+  if (ran > 0) {
+    // Caller-run: the op that scheduled these jobs just paid for them. On
+    // the virtual clock that is its write stall (DESIGN.md §2.1).
+    const double stall = options_.env->io_stats()->clock() - start;
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (stall > stats_.max_stall_clock) stats_.max_stall_clock = stall;
+  }
+  return s;
+}
 
-  std::vector<FileMetaPtr> obsolete;
-  Status s = FlushMemToL0Locked(mem_.get(), lock, /*allow_unlock=*/false,
-                                &obsolete);
+Status DB::RetireFlushLeftoversLocked() {
+  if (!leftovers_.pending) return Status::OK();
+  // Persist the round's version first: from then on no manifest names the
+  // leftover WALs and no version holds the leftover files.
+  Status s = InstallManifestLocked();
   if (!s.ok()) return s;
-  mem_ = std::make_shared<MemTable>();
-
-  policy_->OnFlushCompleted(*current_);
-  s = RunCompactionLoopLocked(lock, /*background=*/false);
-  if (!s.ok()) return s;
-
-  // Safe WAL retirement: open the new WAL, persist the pointer, only then
-  // drop the old log and the files consumed by the flush.
-  const uint64_t old_wal = wal_number_;
-  s = NewWalLocked();
-  if (!s.ok()) return s;
-  s = InstallManifestLocked();
-  if (!s.ok()) return s;
-  MarkObsoleteLocked(std::move(obsolete));
+  leftovers_.pending = false;
+  MarkObsoleteLocked(std::move(leftovers_.files));
+  leftovers_.files.clear();
   s = CollectObsoleteLocked();
   if (!s.ok()) return s;
-  if (old_wal != 0) {
-    options_.env->RemoveFile(WalFileName(options_.path, old_wal));
+  for (uint64_t wal : leftovers_.wals) {
+    options_.env->RemoveFile(WalFileName(options_.path, wal));
   }
-
-  const double stall = options_.env->io_stats()->clock() - stall_start;
-  if (stall > stats_.max_stall_clock) stats_.max_stall_clock = stall;
+  leftovers_.wals.clear();
   return Status::OK();
 }
 
 Status DB::FlushMemToL0Locked(MemTable* mem,
                               std::unique_lock<std::mutex>& lock,
-                              bool allow_unlock,
                               std::vector<FileMetaPtr>* obsolete) {
   const uint16_t shard = static_cast<uint16_t>(options_.shard_index);
   const uint64_t flush_t0 = NowMicros();
@@ -1045,78 +1073,22 @@ Status DB::FlushMemToL0Locked(MemTable* mem,
   EnsurePaddedLocked(
       static_cast<size_t>(std::max(1, policy_->RequiredLevels(*current_))));
 
-  const MergeMode mode = policy_->FlushMode(*current_);
-  uint64_t bytes_read = 0;
-  std::vector<FileMetaPtr> outputs;
-
-  bool leveling_merge =
-      mode == MergeMode::kMergeIntoRun && !current_->levels[0].empty();
-  if (leveling_merge && allow_unlock) {
-    // Background mode: route through the compaction pipeline so the merge —
-    // which reads existing SSTs and dominates the flush cost — runs with
-    // the mutex released (the caller pins `mem` via its ImmPartition copy).
-    // Falls back to the under-mutex merge below only if concurrent
-    // compactions keep conflicting the install.
-    bool merged = false;
-    Status s = FlushMergeIntoRunPipelined(mem, lock, obsolete, &merged);
+  // Leveling flush: merge the memtable into level 0's newest run through
+  // the compaction pipeline (the caller pins `mem` via its ImmPartition
+  // copy). It reports unmerged only when level 0 is empty, in which case
+  // the flush writes a new run instead.
+  bool merged = false;
+  if (policy_->FlushMode(*current_) == MergeMode::kMergeIntoRun) {
+    Status s = FlushMergeIntoRunLocked(mem, lock, obsolete, &merged);
     if (!s.ok()) return s;
-    if (merged) {
-      stats_.flushes++;
-      flush_count_++;
-      if (amp_ != nullptr) {
-        amp_->RecordFlushWrite(0,
-                               stats_.flush_bytes_written - written_before);
-      }
-      const uint64_t dur = NowMicros() - flush_t0;
-      ring_->Emit(obs::EventType::kFlushEnd, shard,
-                  stats_.flush_bytes_written - written_before, dur);
-      if (latency_ != nullptr) latency_->Record(obs::OpType::kFlush, dur);
-      return Status::OK();
-    }
-    // The mutex was released: a concurrent compaction may have emptied
-    // level 0, in which case the flush degrades to a plain new-run flush.
-    leveling_merge = !current_->levels[0].empty();
   }
 
-  if (leveling_merge) {
-    // Leveling flush: merge the memtable with level 0's newest run under
-    // the mutex (inline mode, or the background conflict fallback). The
-    // edit is prepared on a successor copy and installed atomically; pinned
-    // views keep reading the pre-flush version.
-    auto next = std::make_unique<Version>(*current_);
-    SortedRun& target = next->levels[0].runs[0];
-    std::vector<std::unique_ptr<Iterator>> children;
-    children.push_back(mem->NewIterator());
-    children.push_back(std::make_unique<RunIterator>(
-        target.files,
-        [this](uint64_t n) { return table_cache_->GetReader(n); }));
-    auto merged = NewMergingIterator(InternalKeyComparator(),
-                                     std::move(children));
-    merged->SeekToFirst();
-    compaction::OutputSpec spec;
-    spec.output_level = 0;
-    spec.drop_tombstones = next->BottommostNonEmptyLevel() <= 0 &&
-                           next->levels[0].runs.size() == 1;
-    spec.bits_per_key = BitsPerKeyForLevelLocked(0);
-    spec.smallest_snapshot = SmallestLiveSnapshotLocked();
-    Status s = compaction::WriteSortedOutput(OutputShapeForDb(), merged.get(),
-                                             spec, &bytes_read, &outputs);
-    if (!s.ok()) return s;
-    for (const auto& f : target.files) obsolete->push_back(f);
-    uint64_t written = 0;
-    for (const auto& f : outputs) written += f->file_size;
-    stats_.flush_bytes_written += written;
-    target.files = std::move(outputs);
-    if (target.files.empty()) {
-      next->levels[0].runs.erase(next->levels[0].runs.begin());
-    }
-    InstallVersionLocked(std::move(next));
-  } else {
+  if (!merged) {
     // Tiering flush (or empty level 0): new run at the front. The input is
-    // the (immutable) memtable only, so in background mode the mutex is
-    // released while SST files are built — the dominant flush cost overlaps
-    // foreground traffic. Everything the pass needs is captured first;
-    // file numbers come from an atomic counter.
+    // the (immutable) memtable only, so the mutex is released while SST
+    // files are built — the dominant flush cost overlaps foreground
+    // traffic. Everything the pass needs is captured first; file numbers
+    // come from an atomic counter.
     compaction::OutputSpec spec;
     spec.output_level = 0;
     spec.drop_tombstones = current_->BottommostNonEmptyLevel() < 0;
@@ -1125,20 +1097,17 @@ Status DB::FlushMemToL0Locked(MemTable* mem,
     auto iter = mem->NewIterator();
     iter->SeekToFirst();
     const compaction::OutputShape shape = OutputShapeForDb();
-    Status s;
-    if (allow_unlock) {
-      lock.unlock();
-      s = compaction::WriteSortedOutput(shape, iter.get(), spec, &bytes_read,
-                                        &outputs);
-      lock.lock();
-    } else {
-      s = compaction::WriteSortedOutput(shape, iter.get(), spec, &bytes_read,
-                                        &outputs);
-    }
+    uint64_t bytes_read = 0;
+    std::vector<FileMetaPtr> outputs;
+    lock.unlock();
+    Status s = compaction::WriteSortedOutput(shape, iter.get(), spec,
+                                             &bytes_read, &outputs);
+    lock.lock();
     if (!s.ok()) return s;
     uint64_t written = 0;
     for (const auto& f : outputs) written += f->file_size;
     stats_.flush_bytes_written += written;
+    stats_.flush_bytes_read += bytes_read;
     if (!outputs.empty()) {
       // Copy the post-relock state: a concurrent compaction may have
       // reshaped level 0, but this run is still the newest data and belongs
@@ -1155,10 +1124,6 @@ Status DB::FlushMemToL0Locked(MemTable* mem,
   }
 
   stats_.flushes++;
-  // Existing-SST bytes read by the flush merge are flush work, not
-  // compaction work: charging them to compaction_bytes_read (as the
-  // pre-pipeline engine did) inflated the per-level compaction accounting.
-  stats_.flush_bytes_read += bytes_read;
   flush_count_++;
   if (amp_ != nullptr) {
     amp_->RecordFlushWrite(0, stats_.flush_bytes_written - written_before);
@@ -1170,15 +1135,19 @@ Status DB::FlushMemToL0Locked(MemTable* mem,
   return Status::OK();
 }
 
-Status DB::FlushMergeIntoRunPipelined(MemTable* mem,
-                                      std::unique_lock<std::mutex>& lock,
-                                      std::vector<FileMetaPtr>* obsolete,
-                                      bool* merged) {
+Status DB::FlushMergeIntoRunLocked(MemTable* mem,
+                                   std::unique_lock<std::mutex>& lock,
+                                   std::vector<FileMetaPtr>* obsolete,
+                                   bool* merged) {
   *merged = false;
-  // A handful of retries: each conflict means a compaction installed while
-  // the merge ran, which is rare and self-limiting (one chain at a time).
-  for (int attempt = 0; attempt < 8; attempt++) {
-    if (current_->levels[0].empty()) return Status::OK();  // Caller re-checks.
+  // A handful of optimistic attempts: each conflict means a compaction
+  // installed while the merge ran, which is rare and self-limiting (one
+  // chain at a time). The last attempt merges under the mutex, where a
+  // conflict is impossible (the forward-progress valve).
+  constexpr int kOptimisticAttempts = 8;
+  for (int attempt = 0; attempt <= kOptimisticAttempts; attempt++) {
+    // The mutex was released: a compaction may have emptied level 0.
+    if (current_->levels[0].empty()) return Status::OK();
     CompactionRequest req;
     req.inputs.push_back({0, current_->levels[0].runs[0].run_id, {}});
     req.output_level = 0;
@@ -1194,20 +1163,21 @@ Status DB::FlushMergeIntoRunPipelined(MemTable* mem,
     compaction::CompactionExecutor::Result result;
     bool installed = false;
     s = ExecutePlanLocked(
-        plan, lock, /*allow_unlock=*/true,
+        plan, lock, /*allow_unlock=*/attempt < kOptimisticAttempts,
         [mem] { return mem->NewIterator(); }, &result, obsolete, &installed);
     if (!s.ok()) return s;
     if (!installed) continue;  // Conflict: re-plan against the fresh tree.
+    // Existing-SST bytes read by a flush merge are flush work, not
+    // compaction work.
     stats_.flush_bytes_written += result.bytes_written;
     stats_.flush_bytes_read += result.bytes_read;
     *merged = true;
     return Status::OK();
   }
-  return Status::OK();  // Caller falls back to the under-mutex merge.
+  return Status::OK();  // Unreachable: the under-mutex attempt installs.
 }
 
-Status DB::RunCompactionLoopLocked(std::unique_lock<std::mutex>& lock,
-                                   bool background) {
+Status DB::RunCompactionLoopLocked(std::unique_lock<std::mutex>& lock) {
   // Bounded to catch policy bugs that would loop forever.
   int consecutive_conflicts = 0;
   for (int rounds = 0; rounds < 100000; rounds++) {
@@ -1219,7 +1189,7 @@ Status DB::RunCompactionLoopLocked(std::unique_lock<std::mutex>& lock,
     // principle conflict every round under a hostile flush cadence. After
     // a few consecutive conflicts run one merge under the mutex — it
     // cannot conflict — then resume optimistically.
-    const bool optimistic = background && consecutive_conflicts < 4;
+    const bool optimistic = consecutive_conflicts < 4;
     bool installed = false;
     Status s = RunCompactionRequestLocked(*req, lock, optimistic, &installed);
     if (!s.ok()) return s;
@@ -1233,22 +1203,23 @@ Status DB::RunCompactionLoopLocked(std::unique_lock<std::mutex>& lock,
     } else {
       consecutive_conflicts++;
     }
-    // On a conflict (background only) the round re-picks against the fresh
-    // version: the concurrent flush that caused it already reshaped the
-    // tree the policy will now see.
-    if (background) {
-      if (installed) stats_.bg_compactions++;
-      // Let stalled writers and readers interleave between rounds. The
-      // yield matters: std::mutex permits barging, so without it the OS may
-      // hand the relock straight back to this thread for the whole chain.
-      bg_cv_.notify_all();
-      lock.unlock();
-      std::this_thread::yield();
-      lock.lock();
-    }
+    // On a conflict the round re-picks against the fresh version: the
+    // concurrent flush that caused it already reshaped the tree the policy
+    // will now see.
+    if (installed) stats_.bg_compactions++;
+    YieldToForegroundLocked(lock);
   }
   return Status::Corruption("compaction loop did not converge",
                             policy_->name());
+}
+
+void DB::YieldToForegroundLocked(std::unique_lock<std::mutex>& lock) {
+  // The yield matters: std::mutex permits barging, so without it the OS may
+  // hand the relock straight back to this thread for the whole chain.
+  bg_cv_.notify_all();
+  lock.unlock();
+  std::this_thread::yield();
+  lock.lock();
 }
 
 Status DB::PlanForRequestLocked(const CompactionRequest& req,
@@ -1376,11 +1347,11 @@ Status DB::CompactAll() {
   if (!s.ok()) return s;
 
   std::unique_lock<std::mutex> lock(mutex_);
-  // In background mode the merge stage runs off the mutex, so concurrent
-  // writers can flush mid-compaction; a conflicted install rebuilds the
-  // request from the fresh version and tries again. The final attempt
-  // holds the mutex for the merge — it cannot conflict — so a sustained
-  // flush storm degrades to the inline behavior instead of an error.
+  // The merge stage runs off the mutex, so concurrent writers can flush
+  // mid-compaction; a conflicted install rebuilds the request from the
+  // fresh version and tries again. The final attempt holds the mutex for
+  // the merge — it cannot conflict — so a sustained flush storm degrades
+  // to a mutex-held merge instead of an error.
   constexpr int kOptimisticAttempts = 8;
   for (int attempt = 0; attempt <= kOptimisticAttempts; attempt++) {
     const int bottom = current_->BottommostNonEmptyLevel();
@@ -1405,7 +1376,7 @@ Status DB::CompactAll() {
       }
     }
     bool installed = false;
-    const bool optimistic = is_background() && attempt < kOptimisticAttempts;
+    const bool optimistic = attempt < kOptimisticAttempts;
     s = RunCompactionRequestLocked(req, lock, optimistic, &installed);
     if (!s.ok()) return s;
     if (installed) {
@@ -1507,7 +1478,7 @@ bool DB::GetProperty(const std::string& property, std::string* value) {
     return true;
   }
   if (property == "talus.exec") {
-    if (!is_background()) {
+    if (scheduler_->caller_run()) {
       *value = "mode=inline";
       return true;
     }
@@ -1736,7 +1707,7 @@ void DB::ReleaseReadView(const read::ReadView* view) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (version->Unref()) delete version;
   Status s = CollectObsoleteLocked();
-  if (!s.ok() && is_background() && bg_error_.ok()) bg_error_ = s;
+  if (!s.ok() && bg_error_.ok()) bg_error_ = s;
 }
 
 double DB::BitsPerKeyForLevelLocked(int level) const {
@@ -1818,8 +1789,7 @@ Status DB::GetFromView(const read::ReadView& view, const LookupKey& lkey,
         return Status::IOError("cannot open sst for read");
       }
       SstReader::GetStats gs;
-      bool decided = reader->Get(lkey, value, &s, &gs,
-                                 options_.point_read_fast_path);
+      const bool decided = reader->Get(lkey, value, &s, &gs);
       if (gs.filter_negative) probe->filter_negatives++;
       if (gs.block_read) probe->block_reads++;
       if (gs.cache_hit) probe->cache_hits++;
@@ -2023,12 +1993,14 @@ Status DB::ApplyPolicyConfig(const GrowthPolicyConfig& config) {
   // the new policy with whatever layout the catch-up had reached.
   Status s = InstallManifestLocked();
   // Converge the layout, then let the new policy's own loop finish the
-  // job. Writers keep running: in background mode both release the mutex
-  // around merges exactly like policy-driven compactions.
+  // job. Writers keep running: both release the mutex around merges
+  // exactly like policy-driven compactions. This is a compaction chain like
+  // any other, so it ends the round of the flushes it absorbed.
   if (s.ok()) s = CatchUpCompactionsLocked(lock);
-  if (s.ok()) s = RunCompactionLoopLocked(lock, is_background());
+  if (s.ok()) s = RunCompactionLoopLocked(lock);
+  if (s.ok()) s = RetireFlushLeftoversLocked();
   compaction_active_ = false;
-  if (!s.ok() && is_background()) bg_error_ = s;
+  if (!s.ok()) bg_error_ = s;
   bg_cv_.notify_all();
   return s;
 }
@@ -2068,20 +2040,14 @@ Status DB::CatchUpCompactionsLocked(std::unique_lock<std::mutex>& lock) {
     req.reason = "tune-catchup-L" + std::to_string(target);
     bool installed = false;
     attempts++;
-    Status s =
-        RunCompactionRequestLocked(req, lock, is_background(), &installed);
+    Status s = RunCompactionRequestLocked(req, lock, /*allow_unlock=*/true,
+                                          &installed);
     if (!s.ok()) return s;
     if (installed) {
       s = CollectObsoleteLocked();
       if (!s.ok()) return s;
     }
-    if (is_background()) {
-      // Same interleave point as the policy loop: let writers breathe.
-      bg_cv_.notify_all();
-      lock.unlock();
-      std::this_thread::yield();
-      lock.lock();
-    }
+    YieldToForegroundLocked(lock);
   }
   // Conflict storm exhausted the budget; the remaining multi-run levels
   // are still a correct tree and converge under later flush traffic.

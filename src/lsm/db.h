@@ -1,16 +1,19 @@
-// DB: the talus storage engine facade. Two execution modes (DESIGN.md §2):
+// DB: the talus storage engine facade. One maintenance state machine, two
+// executors (DESIGN.md §2.1): the write path switches a full memtable onto
+// an immutable queue and schedules a flush job; the flush job schedules a
+// compaction job that runs the policy loop through the compaction pipeline.
+// ExecutionMode only picks who runs those jobs:
 //
-//  * ExecutionMode::kInline (default): flushes and compactions run inline on
-//    the write path, which (a) makes every experiment deterministic and
-//    (b) surfaces compaction-induced write stalls directly in the
-//    windowed-throughput metric — the same phenomenon the paper measures
-//    through background-compaction backpressure.
-//  * ExecutionMode::kBackground: the write path only switches a full
-//    memtable onto an immutable queue; flushes and compactions execute as
-//    prioritized jobs on a thread pool (exec/job_scheduler.h) and writers
-//    are paced by slowdown/stop backpressure (exec/stall_controller.h).
-//    Put/Delete/Write/Get/Scan/snapshots are then safe to call from any
-//    number of threads.
+//  * ExecutionMode::kInline (default): a caller-run exec::JobScheduler runs
+//    them on the thread that filled the memtable, right after its commit
+//    group; other writers stop until they are done. Every experiment is
+//    deterministic, and the filling op pays for the flush and compactions
+//    on the virtual clock (max_stall_clock).
+//  * ExecutionMode::kBackground: a thread pool runs them and writers are
+//    paced by slowdown/stop backpressure (exec/stall_controller.h).
+//
+// Put/Delete/Write/Get/Scan/snapshots are safe to call from any number of
+// threads under either executor.
 //
 // Locking: one mutex guards the mutable DB state (memtables, version
 // pointer, WAL, stats, snapshots, GC list). The read path does NOT hold it:
@@ -20,9 +23,9 @@
 // path holds it only for two short critical sections per commit group:
 // writers funnel through a group-commit queue (write/write_queue.h), and the
 // group leader performs the WAL append, the amortized sync, and the memtable
-// inserts with the mutex released (DESIGN.md §2.9). Background flush jobs
-// drop the mutex while building SST files from an immutable memtable, and
-// background compactions drop it for their whole merge stage (plan → merge →
+// inserts with the mutex released (DESIGN.md §2.9). Flush jobs drop the
+// mutex while building SST files from an immutable memtable, and
+// compactions drop it for their whole merge stage (plan → merge →
 // conflict-checked install, DESIGN.md §2.8); all metadata installation
 // happens with the mutex held.
 #ifndef TALUS_LSM_DB_H_
@@ -102,13 +105,16 @@ struct EngineStats {
   // dropped to zero (DESIGN.md §2.7).
   uint64_t obsolete_files_deleted = 0;
 
-  // Longest single inline flush+compaction stall, in virtual clock units.
+  // Longest flush+compaction stall a caller-run op paid, in virtual clock
+  // units (zero under kBackground, whose writers stall on wall time below).
   double max_stall_clock = 0;
 
-  // Background execution mode (all zero under kInline).
+  // Maintenance jobs (both executors).
   uint64_t memtable_switches = 0;   // Active → immutable handoffs.
-  uint64_t bg_flushes = 0;          // Flushes executed by background jobs.
-  uint64_t bg_compactions = 0;      // Compactions executed by background jobs.
+  uint64_t bg_flushes = 0;          // Flushes executed by flush jobs.
+  uint64_t bg_compactions = 0;      // Compactions run by policy chains.
+  // Writer backpressure. The caller-run executor only stops a writer that
+  // arrives while another thread runs maintenance (DESIGN.md §2.1).
   uint64_t stall_slowdowns = 0;     // Writes delayed by the slowdown regime.
   uint64_t stall_stops = 0;         // Writes blocked until debt retired.
   uint64_t stall_micros = 0;        // Wall time writers spent stalled (total).
@@ -233,8 +239,8 @@ class DB {
 
   /// Manual major compaction: merges every run into a single run at the
   /// bottommost non-empty level (reclaims tombstones and shadowed
-  /// versions not pinned by snapshots). In background mode, drains pending
-  /// background work first.
+  /// versions not pinned by snapshots). Flushes and drains pending
+  /// maintenance first.
   Status CompactAll();
 
   /// Introspection. Returns false for unknown names. Every property is
@@ -293,16 +299,16 @@ class DB {
   /// reference returns the pins and lets deferred GC reclaim files.
   std::shared_ptr<const read::ReadView> AcquireReadView();
 
-  /// Forces a memtable flush (and any compactions it triggers). In
-  /// background mode, blocks until the flush and its compactions complete.
+  /// Forces a memtable flush (and any compactions it triggers) and blocks
+  /// until they complete. Returns the latched maintenance error, if any.
   Status FlushMemTable();
 
   /// Not synchronized: meaningful only while no background job is running,
   /// and the reference is valid only until the next flush or compaction
   /// installs a successor version.
   const Version& current_version() const { return *current_; }
-  /// Not synchronized: field reads may race background jobs in kBackground
-  /// mode; quiesce (FlushMemTable) before precise accounting.
+  /// Not synchronized: field reads may race maintenance jobs run by other
+  /// threads; quiesce (FlushMemTable) before precise accounting.
   const EngineStats& stats() const { return stats_; }
   /// Snapshot of the write pipeline's group-commit counters (§2.9).
   metrics::GroupCommitStats GetGroupCommitStats() const;
@@ -346,8 +352,8 @@ class DB {
   /// compactions converge the on-disk layout toward the new shape through
   /// the existing pipeline — subsequent flush/compaction planning follows
   /// the new policy automatically. Concurrent writers keep running: merges
-  /// release the mutex in background mode exactly like policy-driven
-  /// compactions, so the only write pressure is the usual backpressure.
+  /// release the mutex exactly like policy-driven compactions, so the only
+  /// write pressure is the usual backpressure.
   /// A config equal to the current one is a no-op. Scan results are
   /// unaffected — a policy shapes the tree, never its contents.
   Status ApplyPolicyConfig(const GrowthPolicyConfig& config);
@@ -442,16 +448,24 @@ class DB {
   /// itself (no version, view, or iterator still points at them).
   Status CollectObsoleteLocked();
 
-  /// Full inline flush: memtable → L0, compaction loop, WAL rotation.
-  Status DoFlushLocked(std::unique_lock<std::mutex>& lock);
-  /// Shared flush core: merges `mem` into L0 per the policy's FlushMode.
-  /// When `allow_unlock` is set (background tiering flushes), the mutex is
-  /// released while SST files are built.
+  /// Flush core: writes `mem` into L0 per the policy's FlushMode, with the
+  /// mutex released while SST files are built. Files the flush merged away
+  /// are appended to *obsolete.
   Status FlushMemToL0Locked(MemTable* mem, std::unique_lock<std::mutex>& lock,
-                            bool allow_unlock,
                             std::vector<FileMetaPtr>* obsolete);
-  Status RunCompactionLoopLocked(std::unique_lock<std::mutex>& lock,
-                                 bool background);
+  /// The policy's PickCompaction loop through the pipeline (optimistic
+  /// merges, with the under-mutex valve after repeated conflicts).
+  Status RunCompactionLoopLocked(std::unique_lock<std::mutex>& lock);
+  /// Ends the maintenance round of the flushes since the last call:
+  /// installs the manifest, then deletes their WALs and the level-0 files
+  /// they merged away (DESIGN.md §2.1). No-op when no flush is pending.
+  Status RetireFlushLeftoversLocked();
+  /// Lets stalled writers and readers interleave between merge rounds.
+  void YieldToForegroundLocked(std::unique_lock<std::mutex>& lock);
+  /// Runs the jobs the caller-run executor queued, on this thread (no-op
+  /// when a pool runs them), and records their virtual-clock cost as a
+  /// write stall. Returns the first job failure.
+  Status RunQueuedMaintenance();
 
   // ---- Compaction pipeline: plan → merge → install (DESIGN.md §2.8) ----
   /// Resolves `req` against the current version into an immutable plan
@@ -474,20 +488,20 @@ class DB {
       compaction::CompactionExecutor::Result* result,
       std::vector<FileMetaPtr>* obsolete, bool* installed);
   /// Runs one policy request through plan + ExecutePlanLocked + compaction
-  /// stats + manifest install. In inline mode (allow_unlock = false) this
-  /// behaves bit-identically to the pre-pipeline engine.
+  /// stats + manifest install. allow_unlock = false is the forward-progress
+  /// valve: a merge under the mutex cannot conflict.
   Status RunCompactionRequestLocked(const CompactionRequest& req,
                                     std::unique_lock<std::mutex>& lock,
                                     bool allow_unlock, bool* installed);
-  /// Background leveling flush: merges `mem` (pinned by the caller across
-  /// the unlock) with level 0's newest run via the executor with the mutex
-  /// released, retrying on install conflicts. *merged stays false when the
-  /// conflict-retry budget is exhausted; the caller then merges under the
-  /// mutex instead.
-  Status FlushMergeIntoRunPipelined(MemTable* mem,
-                                    std::unique_lock<std::mutex>& lock,
-                                    std::vector<FileMetaPtr>* obsolete,
-                                    bool* merged);
+  /// Leveling flush: merges `mem` (pinned by the caller across the unlock)
+  /// with level 0's newest run via the executor with the mutex released,
+  /// retrying on install conflicts and merging under the mutex once the
+  /// retry budget is spent. *merged stays false only when level 0 is
+  /// empty; the caller then writes a new run instead.
+  Status FlushMergeIntoRunLocked(MemTable* mem,
+                                 std::unique_lock<std::mutex>& lock,
+                                 std::vector<FileMetaPtr>* obsolete,
+                                 bool* merged);
   /// Deletes merge outputs that never entered a version (failed or
   /// conflicted merges). They are invisible to every reader, so immediate
   /// removal is safe.
@@ -511,8 +525,8 @@ class DB {
   uint64_t OldestLiveWalLocked() const;
   double BitsPerKeyForLevelLocked(int level) const;
 
-  // Background job bodies (run on pool threads). The outer functions wrap
-  // the *Locked bodies with bg_jobs_pending_ bookkeeping.
+  // Maintenance job bodies (run by the scheduler's executor). The outer
+  // functions wrap the *Locked bodies with bg_jobs_pending_ bookkeeping.
   Status BackgroundFlush();
   Status BackgroundFlushLocked(std::unique_lock<std::mutex>& lock);
   Status BackgroundCompaction();
@@ -522,10 +536,6 @@ class DB {
   /// to the sharded store's unified backpressure view. No-op unless
   /// DbOptions::shard_backpressure is set.
   void ReportBackpressureLocked();
-
-  bool is_background() const {
-    return options_.execution_mode == ExecutionMode::kBackground;
-  }
 
   DbOptions options_;
   std::unique_ptr<GrowthPolicy> policy_;
@@ -624,9 +634,11 @@ class DB {
   /// One snapshotter JSON sample line (amp + latency + drift).
   std::string BuildStatsSample();
 
-  // ---- Background execution (null / unused under kInline) ----
-  // The pool is either owned (standalone DB) or borrowed from the sharded
-  // store (DbOptions::shared_pool); only an owned pool is shut down here.
+  // ---- Maintenance execution (DESIGN.md §2.1) ----
+  // Pool and stall controller exist only for kBackground; otherwise
+  // scheduler_->caller_run() holds. The pool is either owned (standalone
+  // DB) or borrowed from the sharded store (DbOptions::shared_pool); only
+  // an owned pool is shut down here.
   std::unique_ptr<exec::ThreadPool> owned_pool_;
   exec::ThreadPool* pool_ = nullptr;
   std::unique_ptr<exec::JobScheduler> scheduler_;
@@ -641,8 +653,20 @@ class DB {
   // bg_cv_ can use it in their predicate without missed wakeups: the
   // decrement and the notify happen under the same mutex the waiter holds.
   int bg_jobs_pending_ = 0;
-  // First background failure; writers fail fast once set.
+  // First maintenance failure (flush, compaction, GC, policy switch);
+  // writers fail fast once set, under either executor.
   Status bg_error_;
+  // Leftovers of flushes whose maintenance round is still open: the WALs
+  // their memtables came from and the level-0 files they merged away.
+  // Under the caller-run executor the compaction chain a flush schedules
+  // retires them when it ends, so a flush and the compactions it triggers
+  // commit as one round; with a pool they retire with the flush.
+  struct FlushLeftovers {
+    bool pending = false;  // A flush installed since the last retirement.
+    std::vector<uint64_t> wals;
+    std::vector<FileMetaPtr> files;
+  };
+  FlushLeftovers leftovers_;
 };
 
 }  // namespace talus

@@ -43,14 +43,16 @@ enum class WalSyncMode {
   kInterval,
 };
 
-/// How flushes and compactions execute (DESIGN.md §2).
+/// Who runs the flush and compaction jobs (DESIGN.md §2.1). Both modes run
+/// the same maintenance state machine; only the executor differs.
 enum class ExecutionMode {
-  /// Flushes and compactions run inline on the write path. Deterministic:
-  /// every paper experiment reproduces bit-identically. The default.
+  /// A caller-run scheduler: the thread whose write filled the memtable
+  /// runs the jobs right after its commit group, and other writers stop
+  /// until they are done. Deterministic: every paper experiment reproduces
+  /// bit-identically. The default.
   kInline,
-  /// Flushes and compactions run on a background thread pool with
-  /// slowdown/stop write backpressure (exec/). The DB becomes safe for
-  /// concurrent Put/Get/Scan/Write from many threads.
+  /// A background thread pool runs the jobs, and writers are paced by
+  /// slowdown/stop backpressure (exec/stall_controller.h).
   kBackground,
 };
 
@@ -75,11 +77,6 @@ struct DbOptions {
   /// kLegacy by default to keep the seed's on-disk bytes reproducible;
   /// kBlocked makes every filter probe a single-cache-line access.
   FilterVariant filter_variant = FilterVariant::kLegacy;
-  /// Use the allocation-free Block::PointGet path in SstReader::Get
-  /// instead of the two-iterator seek path (DESIGN.md §7). Amp counters
-  /// are identical either way; this exists as an A/B switch for the
-  /// ablation bench and as an escape hatch.
-  bool point_read_fast_path = true;
 
   bool enable_wal = true;
   /// When the write path fsyncs the WAL; see WalSyncMode. kNone by default
@@ -87,10 +84,6 @@ struct DbOptions {
   WalSyncMode wal_sync_mode = WalSyncMode::kNone;
   /// kInterval only: minimum microseconds between write-path WAL syncs.
   uint64_t wal_sync_interval_micros = 10000;
-  // Legacy alias (pre group-commit): sync the WAL on every write. When set
-  // with wal_sync_mode == kNone it is upgraded to kPerGroup at Open, which
-  // preserves the old durability guarantee while amortizing the sync.
-  bool wal_sync_writes = false;
   // Replay WAL / manifest on open when present.
   bool create_if_missing = true;
 
@@ -129,7 +122,9 @@ struct DbOptions {
   /// owns nor shuts it down. Null = the DB creates its own.
   exec::ThreadPool* shared_pool = nullptr;
 
-  // ---- Background execution (ExecutionMode::kBackground only) ----
+  // ---- Maintenance execution (DESIGN.md §2.1) ----
+  /// Picks the executor of the flush/compaction jobs; the knobs below it
+  /// apply to kBackground only.
   ExecutionMode execution_mode = ExecutionMode::kInline;
   /// Flush/compaction threads. Deliberately separate from the network
   /// layer's request workers (server::ServerOptions::worker_threads) so

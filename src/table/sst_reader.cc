@@ -111,13 +111,12 @@ Status SstReader::ReadDataBlock(const BlockHandle& handle,
 }
 
 bool SstReader::Get(const LookupKey& lkey, std::string* value, Status* s,
-                    GetStats* stats, bool fast_path) {
+                    GetStats* stats) {
   if (!filter_->KeyMayMatch(lkey.user_key())) {
     if (stats != nullptr) stats->filter_negative = true;
     return false;
   }
-  return fast_path ? GetPointSearch(lkey, value, s, stats)
-                   : GetViaIterators(lkey, value, s, stats);
+  return GetPointSearch(lkey, value, s, stats);
 }
 
 bool SstReader::FinishGet(const LookupKey& lkey, const Slice& entry_key,
@@ -213,56 +212,6 @@ bool SstReader::GetPointSearch(const LookupKey& lkey, std::string* value,
   if (ps == PointGetStatus::kNotFound) return false;
 
   return FinishGet(lkey, ctx.key(), ctx.value(), value, s);
-}
-
-// Legacy two-iterator path, kept as the A/B baseline for the ablation and
-// as an escape hatch (DbOptions::point_read_fast_path = false).
-bool SstReader::GetViaIterators(const LookupKey& lkey, std::string* value,
-                                Status* s, GetStats* stats) {
-  Slice ikey = lkey.internal_key();
-
-  auto index_iter = index_block_->NewIterator(/*internal_key_order=*/true);
-  index_iter->Seek(ikey);
-  if (!index_iter->Valid()) {
-    // Seek past the last entry is a miss, but a seek that died on a corrupt
-    // entry must surface the corruption, not read as "not found".
-    if (!index_iter->status().ok()) {
-      *s = index_iter->status();
-      return true;
-    }
-    return false;
-  }
-
-  BlockHandle handle;
-  Slice handle_value = index_iter->value();
-  if (!handle.DecodeFrom(&handle_value)) {
-    *s = Status::Corruption("bad index entry");
-    return true;  // Treat as decided with an error status.
-  }
-
-  std::shared_ptr<Block> block;
-  bool cache_hit = false;
-  Status rs = ReadDataBlock(handle, &block, &cache_hit);
-  if (stats != nullptr) {
-    stats->block_read = !cache_hit;
-    stats->cache_hit = cache_hit;
-  }
-  if (!rs.ok()) {
-    *s = rs;
-    return true;
-  }
-
-  auto block_iter = block->NewIterator(/*internal_key_order=*/true);
-  block_iter->Seek(ikey);
-  if (!block_iter->Valid()) {
-    if (!block_iter->status().ok()) {
-      *s = block_iter->status();
-      return true;
-    }
-    return false;
-  }
-
-  return FinishGet(lkey, block_iter->key(), block_iter->value(), value, s);
 }
 
 // Iterates index entries, materializing one data block at a time.

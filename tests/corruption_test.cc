@@ -130,17 +130,14 @@ TEST(SstCorruption, CorruptIndexEntrySurfacesOnGet) {
   std::unique_ptr<SstReader> reader;
   ASSERT_TRUE(SstReader::Open(env.get(), "/c5.sst", 1, nullptr, &reader).ok());
   // The smallest key binary-searches to restart 0 and scans into the
-  // garbled entry on both paths.
+  // garbled entry.
   const std::string key = workload::FormatKey(0, 16);
-  for (const bool fast_path : {false, true}) {
-    std::string value;
-    Status s;
-    const bool decided = reader->Get(LookupKey(key, kMaxSequenceNumber),
-                                     &value, &s, nullptr, fast_path);
-    ASSERT_TRUE(decided) << "fast_path=" << fast_path;
-    EXPECT_TRUE(s.IsCorruption())
-        << "fast_path=" << fast_path << " status=" << s.ToString();
-  }
+  std::string value;
+  Status s;
+  const bool decided =
+      reader->Get(LookupKey(key, kMaxSequenceNumber), &value, &s);
+  ASSERT_TRUE(decided);
+  EXPECT_TRUE(s.IsCorruption()) << "status=" << s.ToString();
 }
 
 TEST(DbCorruption, ManifestDamageFailsOpen) {

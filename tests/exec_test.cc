@@ -1,7 +1,8 @@
-// Background execution subsystem tests: thread-pool ordering/shutdown,
-// scheduler prioritization and status tracking, stall-controller thresholds,
-// and whole-engine inline-vs-background equivalence under concurrent
-// writers (the acceptance bar for DESIGN.md §2).
+// Execution subsystem tests: thread-pool ordering/shutdown, scheduler
+// prioritization and status tracking, stall-controller thresholds,
+// whole-engine inline-vs-background equivalence under concurrent writers,
+// and the caller-run executor's determinism and error contract (the
+// acceptance bar for DESIGN.md §2).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,10 +10,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "env/fault_env.h"
 #include "exec/job_scheduler.h"
 #include "exec/stall_controller.h"
 #include "exec/thread_pool.h"
@@ -140,6 +143,41 @@ TEST(JobSchedulerTest, TracksJobStatesAndErrors) {
   EXPECT_TRUE(stats.idle());
 }
 
+TEST(JobSchedulerTest, CallerRunDrainsOnTheCallingThreadInPriorityOrder) {
+  exec::JobScheduler sched(nullptr);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::string> order;
+  auto job = [&](const char* name, Status result) {
+    return [&order, &caller, name, result] {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(name);
+      return result;
+    };
+  };
+  sched.Schedule(exec::JobType::kCompaction, job("compaction", Status::OK()));
+  // A job scheduled by a running job runs in the same drain.
+  sched.Schedule(exec::JobType::kFlush, [&] {
+    order.push_back("flush");
+    sched.Schedule(exec::JobType::kCompaction,
+                   job("chained", Status::IOError("disk on fire")));
+    return Status::OK();
+  });
+  EXPECT_TRUE(order.empty()) << "nothing runs until a thread drains";
+
+  size_t ran = 0;
+  const Status s = sched.RunPending(&ran);
+  EXPECT_EQ(ran, 3u);
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"flush", "compaction", "chained"}));
+  EXPECT_TRUE(sched.GetStats().idle());
+
+  // Shutdown runs what is still queued before it returns.
+  sched.Schedule(exec::JobType::kFlush, job("late", Status::OK()));
+  sched.Shutdown();
+  EXPECT_EQ(order.back(), "late");
+}
+
 TEST(JobSchedulerTest, ShutdownRejectsNewJobs) {
   exec::ThreadPool pool(1);
   exec::JobScheduler sched(&pool);
@@ -251,6 +289,10 @@ struct NamedPolicy {
   const char* name;
   GrowthPolicyConfig config;
 };
+
+void PrintTo(const NamedPolicy& policy, std::ostream* os) {
+  *os << policy.name;
+}
 
 std::vector<NamedPolicy> EquivalencePolicies() {
   return {
@@ -454,6 +496,217 @@ TEST(ExecDbTest, InlineModeReportsInlineExecProperty) {
   EXPECT_EQ(value, "mode=inline");
   EXPECT_EQ(db->stats().memtable_switches, 0u);
   EXPECT_EQ(db->stats().bg_flushes, 0u);
+}
+
+// ------------------------------------------- Caller-run executor (kInline)
+
+// kInline runs the one maintenance path on the caller's thread: two stores
+// fed the same op stream must end byte-identical, down to the virtual clock.
+class InlineDeterminismTest : public ::testing::TestWithParam<NamedPolicy> {};
+
+TEST_P(InlineDeterminismTest, SameOpStreamSameTreeAndClock) {
+  std::string levels[2], cstats[2];
+  double clock[2] = {0, 0};
+  uint64_t flushes = 0, compactions = 0;
+  for (int run = 0; run < 2; run++) {
+    auto env = NewMemEnv();
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(TestOptions(env.get(), ExecutionMode::kInline,
+                                     GetParam().config),
+                         &db)
+                    .ok());
+    for (int w = 0; w < 4; w++) ApplyWorkerOps(db.get(), w, 1500);
+    ASSERT_TRUE(db->GetProperty("talus.levels", &levels[run]));
+    ASSERT_TRUE(db->GetProperty("talus.cstats", &cstats[run]));
+    clock[run] = env->io_stats()->clock();
+    flushes = db->stats().flushes;
+    compactions = db->stats().compactions;
+  }
+  EXPECT_GT(flushes, 0u) << GetParam().name;
+  EXPECT_GT(compactions, 0u) << GetParam().name;
+  EXPECT_EQ(levels[0], levels[1]) << GetParam().name;
+  EXPECT_EQ(cstats[0], cstats[1]) << GetParam().name;
+  EXPECT_TRUE(clock[0] == clock[1])
+      << GetParam().name << ": " << clock[0] << " vs " << clock[1];
+}
+
+std::vector<NamedPolicy> InlinePolicies() {
+  return {
+      {"VT_Level_Part", GrowthPolicyConfig::VTLevelPart(3)},
+      {"HR_Level", GrowthPolicyConfig::HRLevel(3)},
+      {"Lazy_Level", GrowthPolicyConfig::LazyLeveling(3, 4, false)},
+  };
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, InlineDeterminismTest, ::testing::ValuesIn(InlinePolicies()),
+    [](const auto& info) { return std::string(info.param.name); });
+
+// Several writers on the caller-run executor: a writer that arrives while
+// another thread runs a flush and its compaction chain stops until they are
+// done, so the immutable queue stays within its limit and no flush starves
+// the chain. The store still ends with the sequential run's contents.
+class InlineConcurrencyTest : public ::testing::TestWithParam<NamedPolicy> {};
+
+TEST_P(InlineConcurrencyTest, WritersStayWithinImmutableLimit) {
+  constexpr int kWorkers = 4;
+  constexpr int kOpsPerWorker = 1500;
+  // Put-only streams with values large enough that a handful of puts fill
+  // the memtable: unchecked, the writers switch memtables faster than one
+  // thread flushes them.
+  const auto apply = [](DB* db, int worker) {
+    Random rnd(2000 + worker);
+    const std::string pad(240, static_cast<char>('a' + worker));
+    for (int i = 0; i < kOpsPerWorker; i++) {
+      const std::string key =
+          workload::FormatKey(worker * 1000 + rnd.Uniform(300), 16);
+      ASSERT_TRUE(db->Put(key, pad + std::to_string(i)).ok());
+    }
+  };
+  auto ref_env = NewMemEnv();
+  std::unique_ptr<DB> ref;
+  ASSERT_TRUE(DB::Open(TestOptions(ref_env.get(), ExecutionMode::kInline,
+                                   GetParam().config),
+                       &ref)
+                  .ok());
+  for (int w = 0; w < kWorkers; w++) apply(ref.get(), w);
+
+  auto env = NewMemEnv();
+  DbOptions opts =
+      TestOptions(env.get(), ExecutionMode::kInline, GetParam().config);
+  opts.max_immutable_memtables = 1;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(opts, &db).ok());
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kWorkers; w++) {
+    workers.emplace_back([&apply, &db, w] { apply(db.get(), w); });
+  }
+  for (auto& t : workers) t.join();
+
+  const EngineStats stats = db->stats();
+  EXPECT_GT(stats.bg_flushes, 0u);
+  EXPECT_GT(stats.compactions, 0u);
+  EXPECT_LE(stats.max_imm_queue_depth, opts.max_immutable_memtables);
+  EXPECT_EQ(stats.stall_stops_memtable + stats.stall_stops_l0,
+            stats.stall_stops);
+  std::string exec_info;
+  ASSERT_TRUE(db->GetProperty("talus.exec", &exec_info));
+  EXPECT_EQ(exec_info, "mode=inline");
+  EXPECT_EQ(FullScan(db.get()), FullScan(ref.get()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, InlineConcurrencyTest, ::testing::ValuesIn(InlinePolicies()),
+    [](const auto& info) { return std::string(info.param.name); });
+
+// The error contract is the same under both executors: a failed flush
+// fails the write that ran it, latches, and fails every later write fast,
+// while the store still reopens with every acknowledged key.
+TEST(ExecDbTest, InlineFlushFailureLatchesAndReopens) {
+  const std::string value(100, 'x');
+  auto key = [](int i) { return workload::FormatKey(i, 16); };
+  // Which Put fills the first memtable (a dry run on a plain env).
+  int trigger = -1;
+  {
+    auto env = NewMemEnv();
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(TestOptions(env.get(), ExecutionMode::kInline,
+                                     GrowthPolicyConfig::VTLevelFull(3)),
+                         &db)
+                    .ok());
+    for (int i = 0; trigger < 0; i++) {
+      ASSERT_TRUE(db->Put(key(i), value).ok());
+      if (db->stats().memtable_switches > 0) trigger = i;
+    }
+  }
+
+  auto base = NewMemEnv();
+  FaultInjectionEnv env(base.get());
+  const DbOptions opts = TestOptions(&env, ExecutionMode::kInline,
+                                     GrowthPolicyConfig::VTLevelFull(3));
+  std::map<std::string, std::string> acked;
+  {
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(opts, &db).ok());
+    for (int i = 0; i < trigger; i++) {
+      ASSERT_TRUE(db->Put(key(i), value).ok());
+      acked[key(i)] = value;
+    }
+    // The trigger's WAL record (header + payload appends) and the switch's
+    // new WAL succeed; the flush's first SST create is the first failure.
+    env.FailAfterWrites(3);
+    const Status failed = db->Put(key(trigger), value);
+    EXPECT_FALSE(failed.ok());
+    EXPECT_EQ(db->stats().memtable_switches, 1u);
+    EXPECT_EQ(db->stats().flushes, 0u);
+    std::vector<std::string> children;
+    ASSERT_TRUE(base->GetChildren("/db", &children).ok());
+    int wals = 0;
+    for (const auto& name : children) {
+      if (name.size() > 4 && name.substr(name.size() - 4) == ".wal") wals++;
+    }
+    EXPECT_EQ(wals, 2) << "the switch itself must have succeeded";
+
+    // Healthy env from here on: later failures come from the latch.
+    env.Disarm();
+    const Status later = db->Put(key(trigger + 1), value);
+    EXPECT_FALSE(later.ok());
+    EXPECT_EQ(later.ToString(), failed.ToString());
+    EXPECT_EQ(db->FlushMemTable().ToString(), failed.ToString());
+  }
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(opts, &db).ok());
+  for (const auto& [k, v] : acked) {
+    std::string got;
+    ASSERT_TRUE(db->Get(k, &got).ok()) << "lost acked key " << k;
+    EXPECT_EQ(got, v);
+  }
+}
+
+// Deferred GC on view release is maintenance too: a deletion failure there
+// latches like any other, under the caller-run executor as well.
+TEST(ExecDbTest, InlineGcFailureOnViewReleaseLatches) {
+  auto base = NewMemEnv();
+  FaultInjectionEnv env(base.get());
+  const DbOptions opts = TestOptions(&env, ExecutionMode::kInline,
+                                     GrowthPolicyConfig::VTLevelFull(3));
+  std::map<std::string, std::string> acked;
+  {
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(opts, &db).ok());
+    for (int i = 0; i < 50; i++) {
+      ASSERT_TRUE(db->Put(workload::FormatKey(i, 16), "a").ok());
+      acked[workload::FormatKey(i, 16)] = "a";
+    }
+    ASSERT_TRUE(db->FlushMemTable().ok());
+    // Pin the level-0 run, then merge it away with a leveling flush: its
+    // files wait in the GC queue for the iterator.
+    std::unique_ptr<Iterator> pin = db->NewIterator();
+    for (int i = 0; i < 50; i++) {
+      ASSERT_TRUE(db->Put(workload::FormatKey(i, 16), "b").ok());
+      acked[workload::FormatKey(i, 16)] = "b";
+    }
+    ASSERT_TRUE(db->FlushMemTable().ok());
+    std::string stats;
+    ASSERT_TRUE(db->GetProperty("talus.stats", &stats));
+    ASSERT_EQ(stats.find("gc_pending=0"), std::string::npos) << stats;
+
+    env.FailAfterWrites(0);
+    pin.reset();  // Release → GC → the deletion fails.
+    env.Disarm();
+    const Status later = db->Put(workload::FormatKey(99, 16), "c");
+    EXPECT_FALSE(later.ok());
+    EXPECT_NE(later.ToString().find("injected remove failure"),
+              std::string::npos)
+        << later.ToString();
+  }
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(opts, &db).ok());
+  for (const auto& [k, v] : acked) {
+    std::string got;
+    ASSERT_TRUE(db->Get(k, &got).ok()) << "lost acked key " << k;
+    EXPECT_EQ(got, v);
+  }
 }
 
 }  // namespace

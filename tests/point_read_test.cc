@@ -1,12 +1,14 @@
 // Point-read fast path (DESIGN.md §7): Block::PointGet must position on
 // exactly the entry Block::Iter::Seek does — fuzzed over key shapes,
 // restart intervals, and corrupt inputs — stay safe under concurrent use,
-// and leave the amp counters bit-identical to the legacy iterator path.
+// and fold exactly the per-level attribution an iterator oracle implies
+// into the amp counters.
 #include "format/block.h"
 #include "format/block_builder.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <set>
@@ -15,8 +17,11 @@
 #include <vector>
 
 #include "env/env.h"
+#include "filter/bloom.h"
 #include "lsm/db.h"
 #include "lsm/dbformat.h"
+#include "lsm/filename.h"
+#include "table/sst_format.h"
 #include "util/random.h"
 #include "workload/generator.h"
 
@@ -223,58 +228,160 @@ TEST(PointGet, ConcurrentLookupsAreSafe) {
   for (int t = 0; t < kThreads; t++) EXPECT_EQ(failures[t], 0) << t;
 }
 
-// The fast path and the iterator path must fold IDENTICAL attribution into
-// the amp tracker: blocks_per_lookup, filter negatives, and bloom false
-// positives feed the cost model and may not shift with the lookup
-// implementation.
-TEST(PointGet, AmpCountersIdenticalAcrossPaths) {
+// The oracle's own view of an SST's filter: the filter block read straight
+// from the file through the footer, probed outside the reader.
+std::unique_ptr<BloomFilterReader> ReadFilter(Env* env,
+                                              const std::string& fname,
+                                              std::string* storage) {
+  std::unique_ptr<RandomAccessFile> file;
+  if (!env->NewRandomAccessFile(fname, &file).ok()) return nullptr;
+  char footer_space[Footer::kEncodedLength];
+  Slice input;
+  if (!file->Read(file->Size() - Footer::kEncodedLength,
+                  Footer::kEncodedLength, &input, footer_space)
+           .ok()) {
+    return nullptr;
+  }
+  Footer footer;
+  if (!footer.DecodeFrom(input).ok()) return nullptr;
+  storage->resize(footer.filter_handle.size);
+  if (!file->Read(footer.filter_handle.offset, footer.filter_handle.size,
+                  &input, storage->data())
+           .ok()) {
+    return nullptr;
+  }
+  storage->assign(input.data(), input.size());
+  return std::make_unique<BloomFilterReader>(Slice(*storage));
+}
+
+// The point-read path must fold exactly the per-level attribution a
+// lookup implies into the amp counters. The oracle walks the same version
+// in the test: a file whose key range holds the key is probed, its filter
+// (read from the file, probed here) either excludes it or lets the lookup
+// fetch one data block, and a seek through SstReader::NewIterator()
+// decides whether the file holds the key — a passed filter on a file that
+// does not is a Bloom false positive. Without a block cache every data
+// block the lookup touches is a fetch, so block reads are exact too.
+void CheckAmpAgainstOracle(FilterVariant variant, size_t cache_bytes,
+                           bool tiered) {
+  SCOPED_TRACE("variant=" + std::to_string(static_cast<int>(variant)) +
+               " cache_bytes=" + std::to_string(cache_bytes) +
+               " tiered=" + std::to_string(tiered));
+  auto env = NewMemEnv();
+  DbOptions opts;
+  opts.env = env.get();
+  opts.path = "/db";
+  // Leveling merges the two flushes below into one run; tiering keeps
+  // both, so every lookup probes two overlapping files.
+  opts.policy = tiered ? GrowthPolicyConfig::VTTierFull(3)
+                       : GrowthPolicyConfig::VTLevelPart(3);
+  opts.filter_variant = variant;
+  opts.block_cache_bytes = cache_bytes;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(opts, &db).ok());
+  // Two flushes with interleaved key ranges; lookups of the keys in
+  // between miss inside every file's range, so the filters decide.
+  for (int i = 0; i < 200; i++) {
+    db->Put(workload::FormatKey(i * 6, 16), "even" + std::to_string(i));
+  }
+  db->FlushMemTable();
+  for (int i = 0; i < 200; i++) {
+    db->Put(workload::FormatKey(i * 6 + 3, 16), "odd" + std::to_string(i));
+  }
+  db->FlushMemTable();
+
+  struct FileOracle {
+    std::string storage;
+    std::unique_ptr<BloomFilterReader> filter;
+  };
+  std::map<uint64_t, FileOracle> files;
+  obs::AmpSnapshot want;
+  uint64_t want_fps = 0;
+  const Version& version = db->current_version();
+  for (int i = 0; i < 1200; i++) {  // 400 hits + 800 misses.
+    const std::string key = workload::FormatKey(i, 16);
+    const LookupKey lkey(key, kMaxSequenceNumber);
+    std::string value;
+    ASSERT_EQ(db->Get(key, &value).ok(), i % 3 == 0) << key;
+    want.lookups++;
+    bool decided = false;
+    for (size_t level = 0; level < version.levels.size() && !decided;
+         level++) {
+      for (const SortedRun& run : version.levels[level].runs) {
+        for (const FileMetaPtr& f : run.files) {
+          if (f->smallest.user_key().compare(key) > 0 ||
+              f->largest.user_key().compare(key) < 0) {
+            continue;
+          }
+          auto& slot = want.levels[obs::AmpSlot(static_cast<int>(level))];
+          slot.files_probed++;
+          want.num_levels =
+              std::max(want.num_levels, static_cast<int>(level) + 1);
+          FileOracle& oracle = files[f->number];
+          if (oracle.filter == nullptr) {
+            const std::string fname = SstFileName(opts.path, f->number);
+            oracle.filter = ReadFilter(env.get(), fname, &oracle.storage);
+            ASSERT_NE(oracle.filter, nullptr) << f->number;
+          }
+          auto it = db->table_cache()->GetReader(f->number)->NewIterator();
+          it->Seek(lkey.internal_key());
+          decided = it->Valid() && ExtractUserKey(it->key()) == Slice(key);
+          if (!oracle.filter->KeyMayMatch(key)) {
+            ASSERT_FALSE(decided) << "filter excluded a present key";
+            slot.filter_negatives++;
+            continue;
+          }
+          slot.block_reads++;
+          if (decided) {
+            slot.hits++;
+          } else {
+            slot.bloom_false_positives++;
+            want_fps++;
+          }
+        }
+        if (decided) break;
+      }
+    }
+    if (!decided) want.misses++;
+  }
+  for (size_t level = 0; level < version.levels.size(); level++) {
+    if (!version.levels[level].empty()) {  // Live space counts too.
+      want.num_levels = std::max(want.num_levels, static_cast<int>(level) + 1);
+    }
+  }
+  ASSERT_GT(want_fps, 0u) << "no false positive exercised";
+
+  const obs::AmpSnapshot got = db->GetAmpSnapshot();
+  EXPECT_EQ(got.lookups, want.lookups);
+  EXPECT_EQ(got.memtable_hits, 0u);
+  EXPECT_EQ(got.misses, want.misses);
+  EXPECT_EQ(got.num_levels, want.num_levels);
+  ASSERT_GT(want.lookups, 0u);
+  for (int i = 0; i < want.num_levels; i++) {
+    SCOPED_TRACE("level=" + std::to_string(i));
+    const auto& g = got.levels[i];
+    const auto& w = want.levels[i];
+    EXPECT_EQ(g.files_probed, w.files_probed);
+    EXPECT_EQ(g.hits, w.hits);
+    EXPECT_EQ(g.filter_negatives, w.filter_negatives);
+    EXPECT_EQ(g.bloom_false_positives, w.bloom_false_positives);
+    if (cache_bytes == 0) {
+      EXPECT_EQ(g.block_reads, w.block_reads);
+    } else {  // Cached blocks are not fetches.
+      EXPECT_LE(g.block_reads, w.block_reads);
+    }
+  }
+}
+
+TEST(PointGet, AmpCountersMatchIteratorOracle) {
   for (const FilterVariant variant :
        {FilterVariant::kLegacy, FilterVariant::kBlocked}) {
-    obs::AmpSnapshot snaps[2];
-    for (const bool fast_path : {false, true}) {
-      auto env = NewMemEnv();
-      DbOptions opts;
-      opts.env = env.get();
-      opts.path = "/db";
-      opts.policy = GrowthPolicyConfig::VTLevelPart(3);
-      opts.filter_variant = variant;
-      opts.point_read_fast_path = fast_path;
-      std::unique_ptr<DB> db;
-      ASSERT_TRUE(DB::Open(opts, &db).ok());
-      // Two flushed runs with interleaved key ranges so lookups probe
-      // multiple files, plus misses to exercise the filters.
-      for (int i = 0; i < 400; i++) {
-        db->Put(workload::FormatKey(i * 2, 16), "even" + std::to_string(i));
+    for (const size_t cache_bytes :
+         {size_t{0}, DbOptions{}.block_cache_bytes}) {
+      for (const bool tiered : {false, true}) {
+        CheckAmpAgainstOracle(variant, cache_bytes, tiered);
       }
-      db->FlushMemTable();
-      for (int i = 0; i < 400; i++) {
-        db->Put(workload::FormatKey(i * 2 + 1, 16), "odd" + std::to_string(i));
-      }
-      db->FlushMemTable();
-      std::string value;
-      for (int i = 0; i < 1200; i++) {  // 800 hits + 400 misses.
-        db->Get(workload::FormatKey(i, 16), &value);
-      }
-      snaps[fast_path ? 1 : 0] = db->GetAmpSnapshot();
     }
-    const obs::AmpSnapshot& a = snaps[0];
-    const obs::AmpSnapshot& b = snaps[1];
-    EXPECT_EQ(a.lookups, b.lookups);
-    EXPECT_EQ(a.memtable_hits, b.memtable_hits);
-    EXPECT_EQ(a.misses, b.misses);
-    EXPECT_EQ(a.num_levels, b.num_levels);
-    ASSERT_GT(a.lookups, 0u);
-    for (int i = 0; i < a.num_levels; i++) {
-      SCOPED_TRACE("variant=" + std::to_string(static_cast<int>(variant)) +
-                   " level=" + std::to_string(i));
-      EXPECT_EQ(a.levels[i].files_probed, b.levels[i].files_probed);
-      EXPECT_EQ(a.levels[i].filter_negatives, b.levels[i].filter_negatives);
-      EXPECT_EQ(a.levels[i].bloom_false_positives,
-                b.levels[i].bloom_false_positives);
-      EXPECT_EQ(a.levels[i].block_reads, b.levels[i].block_reads);
-      EXPECT_EQ(a.levels[i].hits, b.levels[i].hits);
-    }
-    EXPECT_DOUBLE_EQ(a.BlocksPerLookup(), b.BlocksPerLookup());
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include "env/fault_env.h"
 #include "lsm/db.h"
+#include "lsm/filename.h"
 #include "workload/generator.h"
 
 namespace talus {
@@ -20,7 +21,7 @@ DbOptions Opts(Env* env, bool wal_sync) {
   opts.write_buffer_size = 4 << 10;
   opts.target_file_size = 4 << 10;
   opts.block_size = 1024;
-  opts.wal_sync_writes = wal_sync;
+  if (wal_sync) opts.wal_sync_mode = WalSyncMode::kPerGroup;
   opts.policy = GrowthPolicyConfig::VTLevelPart(3);
   return opts;
 }
@@ -108,6 +109,37 @@ TEST(CrashRecovery, WriteFailuresSurfaceAndStoreStaysOpenable) {
   // And the store accepts new writes.
   EXPECT_TRUE(db->Put(Key(9999), "after-recovery").ok());
   EXPECT_TRUE(db->Get(Key(9999), &value).ok());
+}
+
+// A crash between a manifest install and the removal of the WALs it
+// retired leaves WALs older than the oldest one the manifest names. Their
+// data is in the manifest's version, so Open deletes them.
+TEST(CrashRecovery, OpenSweepsWalsOlderThanTheManifestNames) {
+  auto env = NewMemEnv();
+  {
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(Opts(env.get(), false), &db).ok());
+    for (int i = 0; i < 300; i++) {
+      ASSERT_TRUE(db->Put(Key(i), std::string(200, 'v')).ok());
+    }
+    ASSERT_TRUE(db->FlushMemTable().ok());
+  }
+  // WAL 1 belonged to the first memtable, long since flushed.
+  const std::string stale = WalFileName("/crash", 1);
+  ASSERT_FALSE(env->FileExists(stale));
+  {
+    std::unique_ptr<WritableFile> file;
+    ASSERT_TRUE(env->NewWritableFile(stale, &file).ok());
+    ASSERT_TRUE(file->Append("stale").ok());
+    ASSERT_TRUE(file->Close().ok());
+  }
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(Opts(env.get(), false), &db).ok());
+  EXPECT_FALSE(env->FileExists(stale));
+  std::string value;
+  for (int i = 0; i < 300; i++) {
+    ASSERT_TRUE(db->Get(Key(i), &value).ok()) << "lost key " << i;
+  }
 }
 
 class CrashPointTest : public ::testing::TestWithParam<int> {};
